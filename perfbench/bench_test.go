@@ -58,6 +58,63 @@ func TestReferenceMatchesRepairOracle(t *testing.T) {
 	}
 }
 
+// References decides each key on the version its key names: the facts
+// after that many of the instance's mutations, a mutation that changes
+// nothing included.
+func TestReferencesFollowMutations(t *testing.T) {
+	gen := generate(t, serveWarm, 1)
+	words := gen.Words
+	changed := 0 // answers that differ from the version before
+	for n, base := range smallInstances(t, gen) {
+		db := base.Clone()
+		wl := &Workload{Words: words, Instances: []Inst{{Name: "t", Facts: db.Facts()}}}
+		rng := rand.New(rand.NewSource(int64(n)))
+		adom := db.Adom()
+		for m := 0; m < 9; m++ {
+			facts := db.Facts()
+			op := Op{Kind: OpMutate}
+			switch m % 3 {
+			case 0: // remove a fact
+				op.Del = []cqa.Fact{facts[rng.Intn(len(facts))]}
+			case 1: // re-add a stored fact: the facts stay as they were
+				op.Add = []cqa.Fact{facts[rng.Intn(len(facts))]}
+			case 2: // add a fact
+				op.Add = []cqa.Fact{{Rel: relations[rng.Intn(len(relations))], Key: adom[rng.Intn(len(adom))], Val: adom[rng.Intn(len(adom))]}}
+			}
+			applyMutation(db, op)
+			wl.Ops = append(wl.Ops, op)
+		}
+		var keys []refKey
+		for v := 0; v <= len(wl.Ops); v++ {
+			for w := range words {
+				keys = append(keys, refKey{0, v, w})
+			}
+		}
+		ref, err := References(wl, len(wl.Ops), keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db = materialize(wl.Instances[0].Facts)
+		for v := 0; v <= len(wl.Ops); v++ {
+			if v > 0 {
+				applyMutation(db, wl.Ops[v-1])
+			}
+			for w, word := range words {
+				got := ref[refKey{0, v, w}]
+				if want := repairs.IsCertain(db, cqa.MustParseQuery(word).Word()); got != want {
+					t.Fatalf("instance %d: %s on version %d: reference %v, repairs say %v", n, word, v, got, want)
+				}
+				if v > 0 && got != ref[refKey{0, v - 1, w}] {
+					changed++
+				}
+			}
+		}
+	}
+	if changed == 0 {
+		t.Fatal("no mutation changed an answer, so the test checks nothing")
+	}
+}
+
 // On a generated instance a word is certain exactly when it is a factor
 // of a planted word: the dead ends make the random part answer no.
 func TestFactorRule(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/csv"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -66,8 +67,17 @@ type giantRun struct {
 	attempted, failed          int
 	firstFailure               string
 	rssMB                      float64
-	cpuPerOp                   float64 // us of process CPU per timed op
+	cpuPerOp                   float64 // us of process CPU per timed op, median over segments
 	reg                        *cqa.Registry
+	// coldAnswers are the set-up decisions of every repetition, checked
+	// once the reference is known.
+	coldAnswers []answer
+}
+
+// answer is one decision of a word.
+type answer struct {
+	word    int
+	certain bool
 }
 
 func (r *giantRun) fail(err error) {
@@ -79,7 +89,7 @@ func (r *giantRun) fail(err error) {
 
 // setupGiant loads the CSV into a fresh registry and decides every word
 // once: the cold pass.
-func setupGiant(path string, wl *Workload, chk *checker, run *giantRun) (*cqa.Registry, error) {
+func setupGiant(path string, wl *Workload, run *giantRun) (*cqa.Registry, error) {
 	t0 := time.Now()
 	db, err := loadGiant(path)
 	if err != nil {
@@ -99,7 +109,7 @@ func setupGiant(path string, wl *Workload, chk *checker, run *giantRun) (*cqa.Re
 			run.fail(err)
 			continue
 		}
-		chk.check(refKey{0, 0, p[1]}, res.Certain)
+		run.coldAnswers = append(run.coldAnswers, answer{p[1], res.Certain})
 	}
 	run.cold = append(run.cold, time.Since(tc).Seconds())
 	run.setup = append(run.setup, time.Since(t0).Seconds())
@@ -107,20 +117,28 @@ func setupGiant(path string, wl *Workload, chk *checker, run *giantRun) (*cqa.Re
 }
 
 // runGiant runs reps set-ups, then the closed-loop stream for d, then
-// checks every timed decision against the reference.
-func runGiant(outDir string, wl *Workload, reps int, d time.Duration, chk *checker) (*giantRun, error) {
+// checks every decision against the reference. The peak RSS covers the
+// last set-up and the stream, as a serve daemon's covers its own; the
+// reference is computed only after it has been read, so that its cold
+// decisions on a copy of the instance do not count in the figure.
+func runGiant(outDir string, wl *Workload, reps int, d time.Duration) (*giantRun, *checker, error) {
 	path := filepath.Join(outDir, "giant-"+strconv.FormatInt(wl.Seed, 10)+".csv")
 	if err := writeCSV(path, wl.Instances[0].Facts); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer os.Remove(path)
 	run := &giantRun{}
 	for rep := 0; rep < reps; rep++ {
 		run.reg = nil
 		runtime.GC() // the previous repetition's instance must not inflate this one
-		reg, err := setupGiant(path, wl, chk, run)
+		if rep == reps-1 {
+			if err := resetPeakRSS(); err != nil {
+				return nil, nil, err
+			}
+		}
+		reg, err := setupGiant(path, wl, run)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		run.reg = reg
 	}
@@ -134,15 +152,26 @@ func runGiant(outDir string, wl *Workload, reps int, d time.Duration, chk *check
 	seen := map[int]bool{}
 	mutated := false
 	ctx := context.Background()
-	cpu0, err := cpuSeconds("self")
-	if err != nil {
-		return nil, err
-	}
+	// CPU is charged per segment and the median reported: every segment
+	// has the same op mix, and a collection or a burst of load from outside
+	// moves a few segments rather than the figure.
+	var segCPU sample
+	segStart, cpu0 := -1, 0.0
 	start := time.Now()
 	deadline := start.Add(d)
 	for i, op := range wl.Ops {
 		if !time.Now().Before(deadline) {
 			break
+		}
+		if op.Kind == OpMutate && (i == 0 || wl.Ops[i-1].Kind == OpQuery) {
+			c, err := selfCPU()
+			if err != nil {
+				return nil, nil, err
+			}
+			if segStart >= 0 {
+				segCPU = append(segCPU, (c-cpu0)*1e6/float64(i-segStart))
+			}
+			segStart, cpu0 = i, c
 		}
 		run.executed = i + 1
 		run.attempted++
@@ -171,20 +200,19 @@ func runGiant(outDir string, wl *Workload, reps int, d time.Duration, chk *check
 		got[i], ok[i] = res.Certain, true
 	}
 	run.dps = float64(run.decide.n()) / time.Since(start).Seconds()
-	cpu1, err := cpuSeconds("self")
-	if err != nil {
-		return nil, err
+	if len(segCPU) == 0 {
+		return nil, nil, fmt.Errorf("giant: no segment completed in %v", d)
 	}
-	run.cpuPerOp = (cpu1 - cpu0) * 1e6 / float64(run.executed)
-	rss, err := peakRSSMB("self")
-	if err != nil {
-		return nil, err
+	run.cpuPerOp = segCPU.median()
+	var err error
+	if run.rssMB, err = peakRSSMB("self"); err != nil {
+		return nil, nil, err
 	}
-	run.rssMB = rss
 
-	// Reference answers for the executed prefix, outside the timed window.
+	// Reference answers for the set-up and the executed prefix, outside
+	// the timed window.
 	at, _ := opVersions(wl, run.executed)
-	var keys []refKey
+	keys := warmKeys(wl)
 	for i := 0; i < run.executed; i++ {
 		if wl.Ops[i].Kind == OpQuery {
 			keys = append(keys, refKey{0, at[i], wl.Ops[i].Word})
@@ -192,15 +220,19 @@ func runGiant(outDir string, wl *Workload, reps int, d time.Duration, chk *check
 	}
 	ref, err := References(wl, run.executed, keys)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for k, v := range ref {
-		chk.ref[k] = v
+	if err := assertMixed(wl, ref, warmKeys(wl)); err != nil {
+		return nil, nil, err
+	}
+	chk := newChecker(wl, ref)
+	for _, a := range run.coldAnswers {
+		chk.check(refKey{0, 0, a.word}, a.certain)
 	}
 	for i := 0; i < run.executed; i++ {
 		if ok[i] {
 			chk.check(refKey{0, at[i], wl.Ops[i].Word}, got[i])
 		}
 	}
-	return run, nil
+	return run, chk, nil
 }

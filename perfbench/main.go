@@ -24,7 +24,7 @@ import (
 
 // setupReps is how many times a run sets the system up; setup_s and
 // cold_pass_s report the median.
-const setupReps = 5
+const setupReps = 9
 
 // nproc is the generator's connection budget and the number of
 // closed-loop streams.
@@ -63,22 +63,15 @@ func run(name string, seed int64, seconds int, traced bool, bin, out string) (bo
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return false, err
 	}
-	// The warm-up answers must be mixed in every tier before anything is
-	// measured: a tier whose expected answers are all equal checks nothing.
-	warm, err := References(wl, 0, warmKeys(wl))
-	if err != nil {
-		return false, err
-	}
-	if err := assertMixed(wl, warm, warmKeys(wl)); err != nil {
-		return false, err
-	}
+	// Each branch asserts that the warm-up answers are mixed in every
+	// tier: a tier whose expected answers are all equal checks nothing.
 	rep := newReport(name)
 	var chk *checker
 	var attempted, failed int
 	switch {
 	case name == giantName && !traced:
-		chk = newChecker(wl, warm)
-		g, err := runGiant(out, wl, setupReps, time.Duration(seconds)*time.Second, chk)
+		var g *giantRun
+		g, chk, err = runGiant(out, wl, setupReps, time.Duration(seconds)*time.Second)
 		if err != nil {
 			return false, err
 		}
@@ -100,14 +93,19 @@ func run(name string, seed int64, seconds int, traced bool, bin, out string) (bo
 		if err != nil {
 			return false, err
 		}
-		if err := perLayer(rep, wl, path, n, chk, nil, seed, out); err != nil {
+		if err := assertMixed(wl, chk.ref, warmKeys(wl)); err != nil {
 			return false, err
 		}
-		attempted = 2 * (len(wl.Warm) + n)
+		if attempted, err = perLayer(rep, wl, path, n, chk, nil, seed, out); err != nil {
+			return false, err
+		}
 	default:
 		sp := planStream(wl)
 		ref, err := References(wl, len(wl.Ops), serveKeys(wl, sp))
 		if err != nil {
+			return false, err
+		}
+		if err := assertMixed(wl, ref, warmKeys(wl)); err != nil {
 			return false, err
 		}
 		chk = newChecker(wl, ref)
@@ -124,10 +122,11 @@ func run(name string, seed int64, seconds int, traced bool, bin, out string) (bo
 			logf("first failure: %s", sr.firstFailure)
 		}
 		if traced {
-			if err := perLayer(rep, wl, "", len(wl.Ops), chk, sr, seed, out); err != nil {
+			ops, err := perLayer(rep, wl, "", len(wl.Ops), chk, sr, seed, out)
+			if err != nil {
 				return false, err
 			}
-			attempted += 2 * (len(wl.Warm) + len(wl.Ops))
+			attempted += ops
 		} else {
 			endToEnd(rep, sr.setup, sr.decide, sr.dps, sr.mutate, sr.firstAfter, sr.cold, sr.rssMB, sr.cpuPerOp)
 			rep.add("offered_ops_per_s", float64(len(wl.Ops))/wl.OpenFor.Seconds(), "1/s", 0, false)
@@ -168,12 +167,16 @@ func delta(after, before uint64) float64 { return float64(after) - float64(befor
 func endToEnd(rep *report, setup sample, decide series, dps float64, mutate, firstAfter series, cold sample, rss, cpuPerOp float64) {
 	const gated = true
 	rep.add("setup_s", setup.median(), "s", len(setup), gated)
-	rep.add("decide_p50_ms", decide.quantile(0.5), "ms", decide.n(), gated)
-	rep.add("decide_p90_ms", decide.quantile(0.90), "ms", decide.n(), !gated)
-	rep.add("decide_p99_ms", decide.quantile(0.99), "ms", decide.n(), !gated)
+	all := decide.all()
+	rep.add("decide_p50_ms", all.quantile(0.5), "ms", len(all), gated)
+	rep.add("decide_p90_ms", all.quantile(0.90), "ms", len(all), !gated)
+	rep.add("decide_p99_ms", all.quantile(0.99), "ms", len(all), !gated)
+	rep.add("decide_p50_win_ms", decide.quantile(0.5), "ms", len(all), !gated)
+	rep.add("decide_p99_win_ms", decide.quantile(0.99), "ms", len(all), !gated)
 	rep.add("sustained_dps", dps, "1/s", 0, !gated)
-	rep.add("mutate_p99_ms", mutate.quantile(0.99), "ms", mutate.n(), !gated)
-	rep.add("first_after_mutate_p50_ms", firstAfter.quantile(0.5), "ms", firstAfter.n(), gated)
+	rep.add("mutate_p99_ms", mutate.all().quantile(0.99), "ms", mutate.n(), !gated)
+	rep.add("first_after_mutate_p50_ms", firstAfter.all().quantile(0.5), "ms", firstAfter.n(), gated)
+	rep.add("first_after_mutate_p50_win_ms", firstAfter.quantile(0.5), "ms", firstAfter.n(), !gated)
 	rep.add("cold_pass_s", cold.median(), "s", len(cold), !gated)
 	rep.add("peak_rss_mb", rss, "MB", 0, gated)
 	rep.add("cpu_us_per_op", cpuPerOp, "us", 0, gated)
@@ -197,20 +200,21 @@ func replayChecker(wl *Workload, n int) (*checker, error) {
 }
 
 // perLayer runs the replay untraced and traced, writes the spans, prints
-// each layer's self time and adds the per-layer figures.
-func perLayer(rep *report, wl *Workload, giantCSV string, n int, chk *checker, sr *serveRun, seed int64, out string) error {
+// each layer's self time and adds the per-layer figures. It returns the
+// number of ops the replays attempted.
+func perLayer(rep *report, wl *Workload, giantCSV string, n int, chk *checker, sr *serveRun, seed int64, out string) (int, error) {
 	plain, _, err := replay(wl, giantCSV, n, false, chk)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	runtime.GC()
 	l, spans, err := replay(wl, giantCSV, n, true, chk)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	path := filepath.Join(out, fmt.Sprintf("spans-%s-%d.jsonl", wl.Name, seed))
 	if err := writeSpans(path, spans); err != nil {
-		return err
+		return 0, err
 	}
 	fmt.Printf("%-12s spans written to %s (%d spans)\n", wl.Name, path, len(spans))
 	printSelfTimes(wl.Name, selfTimes(spans), n)
@@ -256,5 +260,5 @@ func perLayer(rep *report, wl *Workload, giantCSV string, n int, chk *checker, s
 	rep.add("trace.overhead_frac", (l.wall.Seconds()-plain.wall.Seconds())/plain.wall.Seconds(), "ratio", n, true)
 	rep.add("replay_untraced_s", plain.wall.Seconds(), "s", n, false)
 	rep.add("replay_traced_s", l.wall.Seconds(), "s", n, false)
-	return nil
+	return 2*(len(wl.Warm)+n) + l.routerOps, nil
 }

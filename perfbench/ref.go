@@ -9,18 +9,12 @@ package main
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"cqa"
 )
-
-// cloneLimit is the instance size up to which a reference decision runs
-// on a fresh copy of the instance (no lineage, so the shared reference
-// engine can only build cold). Larger instances get a fresh engine per
-// version instead, because copying them per version would cost more
-// than the run.
-const cloneLimit = 50_000
 
 // refKey names one expected answer: a word on an instance version, where
 // version v is the instance after the first v mutations of the stream
@@ -81,7 +75,10 @@ func opVersions(wl *Workload, n int) (at []int, final []int) {
 }
 
 // References computes the expected answer of every key, replaying the
-// first nOps ops' mutations on reference copies of the instances.
+// first nOps ops' mutations on reference copies of the instances. A
+// mutation that leaves the facts as they were (the serve-warm writes)
+// makes a version with the same answers as the one before it, so only
+// the words not yet decided on those facts are decided again.
 func References(wl *Workload, nOps int, keys []refKey) (map[refKey]bool, error) {
 	need := map[int]map[int][]int{} // inst -> version -> words
 	for _, k := range keys {
@@ -96,7 +93,6 @@ func References(wl *Workload, nOps int, keys []refKey) (map[refKey]bool, error) 
 			muts[op.Inst] = append(muts[op.Inst], op)
 		}
 	}
-	shared := newRefEngine()
 	out := map[refKey]bool{}
 	insts := make([]int, 0, len(need))
 	for i := range need {
@@ -109,22 +105,27 @@ func References(wl *Workload, nOps int, keys []refKey) (map[refKey]bool, error) 
 		for v := range need[i] {
 			maxV = max(maxV, v)
 		}
+		cur := map[int]bool{} // word -> answer on db's current facts
 		for v := 0; v <= maxV; v++ {
-			if v > 0 {
-				applyMutation(db, muts[i][v-1])
+			if v > 0 && applyMutation(db, muts[i][v-1]) {
+				cur = map[int]bool{}
 			}
-			ws := need[i][v]
-			if len(ws) == 0 {
-				continue
+			var todo []int
+			for _, w := range need[i][v] {
+				if _, ok := cur[w]; !ok && !slices.Contains(todo, w) {
+					todo = append(todo, w)
+				}
 			}
-			eng, snap := shared, db
-			if db.Size() <= cloneLimit {
-				snap = db.Clone()
-			} else {
-				eng = newRefEngine()
+			// The words are decided on a fresh copy (a root build with no
+			// lineage, so no delta snapshot is involved) by a fresh engine
+			// (so no plan or memo outlives the version).
+			if len(todo) > 0 {
+				if err := refVersion(newRefEngine(), wl, db.Clone(), todo, cur); err != nil {
+					return nil, err
+				}
 			}
-			if err := refVersion(eng, wl, snap, refKey{Inst: i, Version: v}, ws, out); err != nil {
-				return nil, err
+			for _, w := range need[i][v] {
+				out[refKey{i, v, w}] = cur[w]
 			}
 		}
 	}
@@ -133,24 +134,15 @@ func References(wl *Workload, nOps int, keys []refKey) (map[refKey]bool, error) 
 
 // refVersion decides the distinct words ws on one instance version,
 // nproc at a time, and stores the answers in out.
-func refVersion(eng *cqa.Engine, wl *Workload, snap *cqa.Instance, at refKey, ws []int, out map[refKey]bool) error {
+func refVersion(eng *cqa.Engine, wl *Workload, snap *cqa.Instance, ws []int, out map[int]bool) error {
 	var (
 		mu    sync.Mutex
 		first error
 		wg    sync.WaitGroup
 	)
 	sem := make(chan struct{}, nproc())
-	seen := map[int]bool{}
 	snap.Interned() // publish once, before the readers start
 	for _, w := range ws {
-		k := refKey{at.Inst, at.Version, w}
-		mu.Lock()
-		_, done := out[k]
-		mu.Unlock()
-		if done || seen[w] {
-			continue
-		}
-		seen[w] = true
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -162,20 +154,25 @@ func refVersion(eng *cqa.Engine, wl *Workload, snap *cqa.Instance, at refKey, ws
 			if err != nil && first == nil {
 				first = err
 			}
-			out[k] = certain
+			out[w] = certain
 		}()
 	}
 	wg.Wait()
 	return first
 }
 
-func applyMutation(db *cqa.Instance, op Op) {
+// applyMutation applies op to db and reports whether it may have changed
+// the facts.
+func applyMutation(db *cqa.Instance, op Op) (changed bool) {
 	for _, f := range op.Del {
+		changed = changed || db.Contains(f)
 		db.Remove(f)
 	}
 	for _, f := range op.Add {
+		changed = changed || !db.Contains(f)
 		db.Add(f)
 	}
+	return changed
 }
 
 // checker compares observed decisions with the reference. Mismatches are

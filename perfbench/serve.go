@@ -269,7 +269,7 @@ type serveRun struct {
 	closedDecisions   int
 	attempted, failed int
 	rssMB             float64
-	cpuPerOp          float64 // us of daemon CPU per timed op
+	cpuPerOp          float64 // us of daemon CPU per open-loop op
 	before, after     serveMetrics
 	firstFailure      string
 }
@@ -378,14 +378,16 @@ func runServe(bin string, wl *Workload, reps int, chk *checker, sp streamPlan) (
 	if err != nil {
 		return nil, err
 	}
-	ops := run.attempted
+	// CPU is charged to the open-loop phase only: its op mix is fixed by
+	// the seed, while the closed loop completes more or fewer of its cheap
+	// batch decisions as the machine is faster or slower.
 	runOpen(d, wl, chk, sp, run)
-	runClosed(d, wl, chk, sp, run)
 	cpu1, err := cpuSeconds(d.pid())
 	if err != nil {
 		return nil, err
 	}
-	run.cpuPerOp = (cpu1 - cpu0) * 1e6 / float64(run.attempted-ops)
+	run.cpuPerOp = (cpu1 - cpu0) * 1e6 / float64(len(wl.Ops))
+	runClosed(d, wl, chk, sp, run)
 	if run.after, err = d.metrics(); err != nil {
 		return nil, err
 	}
@@ -395,9 +397,13 @@ func runServe(bin string, wl *Workload, reps int, chk *checker, sp streamPlan) (
 	return run, nil
 }
 
-// runOpen sends the op stream on its Poisson schedule. A dispatcher hands
-// each op to nproc senders at its due time; every latency is measured
-// from the due time, so a stall also charges the ops queued behind it.
+// runOpen sends the op stream on its Poisson schedule. A dispatcher
+// starts each op at its due time on a goroutine of its own, which waits
+// for the ops it depends on and then sends it; the client's transport
+// holds at most nproc connections, so ops beyond that wait for one. An op
+// waiting for a dependency therefore holds no connection. Every latency
+// is measured from the due time, so a stall also charges the ops queued
+// behind it.
 func runOpen(d *daemon, wl *Workload, chk *checker, sp streamPlan, run *serveRun) {
 	n := len(wl.Ops)
 	done := make([]chan struct{}, n)
@@ -406,36 +412,30 @@ func runOpen(d *daemon, wl *Workload, chk *checker, sp streamPlan, run *serveRun
 	}
 	lat := make([]time.Duration, n)
 	lag := make([]time.Duration, n)
-	svc := make([]time.Duration, n) // send to response, without the time spent waiting to be sent
+	svc := make([]time.Duration, n) // send to response: the wait for a connection, not for a dependency
 	errs := make([]error, n)
 	got := make([]bool, n)
-	queue := make(chan int, n) // sized to the stream: the dispatcher never blocks
 	start := time.Now()
 	hardStop := start.Add(wl.OpenFor + openGrace)
 	var wg sync.WaitGroup
-	for s := 0; s < nproc(); s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range queue {
-				for _, dep := range sp.deps[i] {
-					<-done[dep]
-				}
-				op := wl.Ops[i]
-				name := wl.Instances[op.Inst].Name
-				sent := time.Now()
-				if sent.After(hardStop) {
-					errs[i] = errors.New("not sent: open-loop phase over")
-				} else if op.Kind == OpMutate {
-					errs[i] = d.mutate(name, op.Add, op.Del)
-				} else {
-					got[i], errs[i] = d.query(name, wl.Words[op.Word])
-				}
-				lat[i] = time.Since(start.Add(op.Due))
-				svc[i] = time.Since(sent)
-				close(done[i])
-			}
-		}()
+	send := func(i int) {
+		defer wg.Done()
+		defer close(done[i])
+		for _, dep := range sp.deps[i] {
+			<-done[dep]
+		}
+		op := wl.Ops[i]
+		name := wl.Instances[op.Inst].Name
+		sent := time.Now()
+		if sent.After(hardStop) {
+			errs[i] = errors.New("not sent: open-loop phase over")
+		} else if op.Kind == OpMutate {
+			errs[i] = d.mutate(name, op.Add, op.Del)
+		} else {
+			got[i], errs[i] = d.query(name, wl.Words[op.Word])
+		}
+		lat[i] = time.Since(start.Add(op.Due))
+		svc[i] = time.Since(sent)
 	}
 	dispatch := make(chan struct{})
 	go func() {
@@ -453,9 +453,9 @@ func runOpen(d *daemon, wl *Workload, chk *checker, sp streamPlan, run *serveRun
 				_ = syscall.Nanosleep(&ts, nil) // interrupted: the loop sleeps the rest
 			}
 			lag[i] = time.Since(due)
-			queue <- i
+			wg.Add(1)
+			go send(i)
 		}
-		close(queue)
 	}()
 	<-dispatch
 	wg.Wait()
@@ -542,6 +542,9 @@ func serveKeys(wl *Workload, sp streamPlan) []refKey {
 	for i, op := range wl.Ops {
 		if op.Kind == OpQuery {
 			keys = append(keys, refKey{op.Inst, sp.version[i], op.Word})
+			if op.Due < routerLoadFor { // the traced run's router phase
+				keys = append(keys, refKey{op.Inst, sp.final[op.Inst], op.Word})
+			}
 		}
 	}
 	for _, st := range wl.Streams {

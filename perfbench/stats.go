@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 )
 
@@ -40,9 +41,10 @@ func (s sample) mean() float64 {
 }
 
 // series groups measurements into consecutive windows of the measured
-// phase. Its figures are computed per window and the median across the
-// windows is reported, so a burst of noise from outside the system moves
-// one window rather than the figure.
+// phase. The plain percentiles (decide_p99_ms) are taken over all
+// measurements; the windowed ones (decide_p99_win_ms) are the median
+// across windows of each window's figure, so a burst of noise from
+// outside the system moves one window rather than the figure.
 type series struct {
 	win []sample
 }
@@ -156,6 +158,21 @@ func cpuSeconds(pid string) (float64, error) {
 		return 0, fmt.Errorf("bad /proc/%s/stat", pid)
 	}
 	return (utime + stime) / clockTicks, nil
+}
+
+// selfCPU reads the user plus system CPU time this process has used, at
+// microsecond resolution.
+func selfCPU() (float64, error) {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0, err
+	}
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9, nil
+}
+
+// resetPeakRSS resets this process's VmHWM to its current RSS.
+func resetPeakRSS() error {
+	return os.WriteFile("/proc/self/clear_refs", []byte("5"), 0)
 }
 
 // clockTicks is USER_HZ, the unit of /proc/<pid>/stat times; it is 100

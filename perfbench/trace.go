@@ -6,7 +6,10 @@ package main
 // router (server.Router), cqa.Registry, the plan cache (Engine.Compile),
 // the instance snapshot (Instance.Interned) and the tier decision
 // (Plan.ExecuteCtx). Spans are kept in memory and written to one file
-// when the run ends.
+// when the run ends. The serve workloads then submit the first seconds of
+// the open-loop stream through the router at their scheduled times, so
+// that the router's queue wait is measured under the workload's load
+// rather than from a single caller.
 
 import (
 	"context"
@@ -20,6 +23,7 @@ import (
 	"runtime/metrics"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"cqa"
@@ -35,6 +39,10 @@ type seenKey struct {
 
 // giantReplaySegments is how many giant segments the traced replay runs.
 const giantReplaySegments = 4
+
+// routerLoadFor is how much of the open-loop stream the router phase
+// submits.
+const routerLoadFor = 5 * time.Second
 
 // span is one timed call. Spans of one op share Op; warm-up decisions
 // have negative ids.
@@ -89,13 +97,14 @@ var tierList = []string{"fo", "nl", "fixpoint", "sat"}
 // layers is what one replay measured, layer by layer.
 type layers struct {
 	serverSelf, serverAllocs sample // us, count per query
-	routerWait               sample // us
+	routerWait               sample // us, under the open-loop router phase
+	routerOps                int    // queries the router phase submitted
 	routed, heavy            int
 	regQuery, regMutate      sample // us
-	compile                  sample // us, misses only
+	compile                  sample // us, misses only, set-up included
 	planHits, planLookups    uint64
 	loadS, internMs          float64
-	publish                  sample // us
+	publish                  sample // us, Interned() after a mutation
 	memoHits, memoLookups    uint64
 	memoRepair, memoCold     sample // us
 	coldBuilds               uint64
@@ -116,7 +125,11 @@ type stack struct {
 	handler http.Handler
 	rt      *server.Router // serve workloads only
 	dbs     []*cqa.Instance
-	ivs     []*instance.Interned // the last snapshot each instance published
+	// mirrors receive every mutation the registry applies, so that the
+	// snapshot publish, which Registry.Mutate does under its lock, can be
+	// timed on its own: Instance.Interned on a mirror runs the same delta
+	// build from the same previous version.
+	mirrors []*cqa.Instance
 	queries []cqa.Query
 	tr      *tracer
 	l       *layers
@@ -157,11 +170,14 @@ func newStack(wl *Workload, giantCSV string, tr *tracer, chk *checker) (*stack, 
 	s.l.loadS = time.Since(t0).Seconds()
 	for i, db := range s.dbs {
 		t := time.Now()
-		s.ivs = append(s.ivs, db.Interned())
+		db.Interned()
 		s.l.internMs += ms(time.Since(t))
 		if err := s.reg.Register(wl.Instances[i].Name, db); err != nil {
 			return nil, err
 		}
+		m := materialize(wl.Instances[i].Facts)
+		m.Interned()
+		s.mirrors = append(s.mirrors, m)
 	}
 	return s, nil
 }
@@ -174,7 +190,7 @@ func (s *stack) close() {
 }
 
 // decide replays one query through every layer: the plan lookup the
-// daemon's lane choice makes, the snapshot publish, the tier decision,
+// daemon's lane choice makes, the snapshot lookup, the tier decision,
 // then the same decision through the router and the registry, and last
 // through the daemon's HTTP handler. The first call pays any cold work;
 // the registry and handler calls repeat it warm, which is what their
@@ -197,26 +213,23 @@ func (s *stack) decide(id, inst, word int, k refKey, timed bool) {
 	if tr.on {
 		after := s.eng.Stats()
 		hit := after.Plans.Hits > before.Plans.Hits
+		if !hit {
+			l.compile = append(l.compile, float64(te-t)/1e3)
+		}
 		if timed {
 			l.planLookups++
 			if hit {
 				l.planHits++
-			} else {
-				l.compile = append(l.compile, float64(te-t)/1e3)
 			}
 		}
 		tr.add(id, "plan", "op", t, te, fmt.Sprintf("hit=%v", hit))
 	}
 
+	// Registry.Mutate has already published the snapshot, so this is a
+	// lookup; the publish itself is timed in mutate.
 	t = tr.now()
 	iv := db.Interned()
-	te = tr.now()
-	published := iv != s.ivs[inst]
-	s.ivs[inst] = iv
-	if published && timed {
-		l.publish = append(l.publish, float64(te-t)/1e3)
-	}
-	tr.add(id, "instance", "op", t, te, fmt.Sprintf("published=%v", published))
+	tr.add(id, "instance", "op", t, tr.now(), "snapshot")
 
 	var m0 uint64
 	var ms0 memo.Stats
@@ -302,7 +315,6 @@ func (s *stack) decide(id, inst, word int, k refKey, timed bool) {
 			if heavy {
 				l.heavy++
 			}
-			l.routerWait = append(l.routerWait, float64(rs-t)/1e3)
 			l.regQuery = append(l.regQuery, float64(re-rs)/1e3)
 		}
 		regT = append(regT, float64(re-rs)/1e3)
@@ -348,7 +360,7 @@ func (s *stack) decide(id, inst, word int, k refKey, timed bool) {
 }
 
 // mutate replays one mutation through the router (serve workloads) and
-// the registry.
+// the registry, then times the snapshot publish on the mirror.
 func (s *stack) mutate(id int, op Op) {
 	tr, l := s.tr, s.l
 	name := s.wl.Instances[op.Inst].Name
@@ -365,9 +377,7 @@ func (s *stack) mutate(id int, op Op) {
 		if doErr := s.rt.Do(context.Background(), name, fn); doErr != nil {
 			err = doErr
 		}
-		te := tr.now()
-		l.routerWait = append(l.routerWait, float64(rs-t)/1e3)
-		tr.add(id, "router", "op", t, te, "mutate")
+		tr.add(id, "router", "op", t, tr.now(), "mutate")
 		tr.add(id, "registry", "router", rs, re, "mutate")
 	} else {
 		fn()
@@ -377,7 +387,80 @@ func (s *stack) mutate(id int, op Op) {
 		s.chk.fail(err)
 	}
 	l.regMutate = append(l.regMutate, float64(re-rs)/1e3)
+
+	m := s.mirrors[op.Inst]
+	applyMutation(m, op)
+	t := tr.now()
+	m.Interned()
+	te := tr.now()
+	l.publish = append(l.publish, float64(te-t)/1e3)
+	tr.add(id, "instance", "op", t, te, "publish (mirror)")
 	tr.add(id, "op", "", root, tr.now(), "mutate "+name)
+}
+
+// routerLoad submits the queries of the first routerLoadFor of the
+// open-loop stream through the router at their scheduled times, each
+// from its own goroutine as the daemon's connection goroutines do, and
+// records how long each waited from submission to start. It runs after
+// the replay, so every instance is at its final version.
+func (s *stack) routerLoad(final []int) {
+	type result struct {
+		op      int
+		wait    time.Duration
+		certain bool
+		err     error
+	}
+	var (
+		mu  sync.Mutex
+		out []result
+		wg  sync.WaitGroup
+	)
+	start := time.Now()
+	for i, op := range s.wl.Ops {
+		if op.Due >= routerLoadFor {
+			break
+		}
+		if op.Kind != OpQuery {
+			continue
+		}
+		time.Sleep(time.Until(start.Add(op.Due)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			name := s.wl.Instances[op.Inst].Name
+			q := s.queries[op.Word]
+			r := result{op: i}
+			submitted := time.Now()
+			fn := func() {
+				r.wait = time.Since(submitted)
+				res, err := s.reg.Query(context.Background(), name, q, cqa.Options{})
+				r.certain, r.err = res.Certain, err
+			}
+			var err error
+			if s.eng.Compile(q).Method() == cqa.MethodSAT {
+				err = s.rt.DoHeavy(context.Background(), fn)
+			} else {
+				err = s.rt.Do(context.Background(), name, fn)
+			}
+			if err != nil {
+				r.err = err
+			}
+			mu.Lock()
+			out = append(out, r)
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	for _, r := range out {
+		s.l.routerOps++
+		op := s.wl.Ops[r.op]
+		if r.err != nil {
+			s.chk.fail(fmt.Errorf("router phase: %w", r.err))
+			continue
+		}
+		s.l.routerWait = append(s.l.routerWait, us(r.wait))
+		s.chk.check(refKey{op.Inst, final[op.Inst], op.Word}, r.certain)
+	}
 }
 
 // replayOps is the op prefix a traced replay runs.
@@ -410,7 +493,7 @@ func replay(wl *Workload, giantCSV string, nOps int, traced bool, chk *checker) 
 	for i, p := range wl.Warm {
 		s.decide(-1-i, p[0], p[1], refKey{p[0], 0, p[1]}, false)
 	}
-	at, _ := opVersions(wl, nOps)
+	at, final := opVersions(wl, nOps)
 	gc0, cpu0 := gcCPU()
 	t0 := time.Now()
 	for i, op := range wl.Ops[:nOps] {
@@ -427,6 +510,9 @@ func replay(wl *Workload, giantCSV string, nOps int, traced bool, chk *checker) 
 	}
 	st1 := s.eng.Stats()
 	s.l.parallel = cqa.ParallelStats{Solves: st1.Parallel.Solves - st0.Parallel.Solves, Shards: st1.Parallel.Shards - st0.Parallel.Shards}
+	if traced && s.rt != nil {
+		s.routerLoad(final)
+	}
 	return s.l, tr.spans, nil
 }
 
