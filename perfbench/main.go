@@ -171,12 +171,10 @@ func endToEnd(rep *report, setup sample, decide series, dps float64, mutate, fir
 	rep.add("decide_p50_ms", all.quantile(0.5), "ms", len(all), gated)
 	rep.add("decide_p90_ms", all.quantile(0.90), "ms", len(all), !gated)
 	rep.add("decide_p99_ms", all.quantile(0.99), "ms", len(all), !gated)
-	rep.add("decide_p50_win_ms", decide.quantile(0.5), "ms", len(all), !gated)
 	rep.add("decide_p99_win_ms", decide.quantile(0.99), "ms", len(all), !gated)
 	rep.add("sustained_dps", dps, "1/s", 0, !gated)
 	rep.add("mutate_p99_ms", mutate.all().quantile(0.99), "ms", mutate.n(), !gated)
 	rep.add("first_after_mutate_p50_ms", firstAfter.all().quantile(0.5), "ms", firstAfter.n(), gated)
-	rep.add("first_after_mutate_p50_win_ms", firstAfter.quantile(0.5), "ms", firstAfter.n(), !gated)
 	rep.add("cold_pass_s", cold.median(), "s", len(cold), !gated)
 	rep.add("peak_rss_mb", rss, "MB", 0, gated)
 	rep.add("cpu_us_per_op", cpuPerOp, "us", 0, gated)
