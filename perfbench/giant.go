@@ -59,16 +59,17 @@ func loadGiant(path string) (*cqa.Instance, error) {
 // giantRun is what one giant run measured.
 type giantRun struct {
 	setup, cold, load sample // seconds, one per set-up repetition
-	// One window each: a giant segment's decisions are not spread evenly
-	// in time, so windows of equal length would hold different mixes.
-	decide, firstAfter, mutate series  // ms
-	dps                        float64 // decisions per second
-	executed                   int     // ops of the stream run before the time ran out
-	attempted, failed          int
-	firstFailure               string
-	rssMB                      float64
-	cpuPerOp                   float64 // us of process CPU per timed op, median over segments
-	reg                        *cqa.Registry
+	// One window: a giant segment's decisions are not spread evenly in
+	// time, so windows of equal length would hold different mixes.
+	decide             series  // ms
+	firstAfter, mutate sample  // ms
+	dps                float64 // decisions per second
+	executed           int     // ops of the stream run before the time ran out
+	attempted, failed  int
+	firstFailure       string
+	rssMB              float64
+	cpuPerOp           float64 // us of process CPU per timed op, median over segments
+	reg                *cqa.Registry
 	// coldAnswers are the set-up decisions of every repetition, checked
 	// once the reference is known.
 	coldAnswers []answer
@@ -182,7 +183,7 @@ func runGiant(outDir string, wl *Workload, reps int, d time.Duration) (*giantRun
 				run.fail(err)
 				continue
 			}
-			run.mutate.add(0, ms(time.Since(t)))
+			run.mutate = append(run.mutate, ms(time.Since(t)))
 			mutated, seen = true, map[int]bool{}
 			continue
 		}
@@ -194,7 +195,7 @@ func runGiant(outDir string, wl *Workload, reps int, d time.Duration) (*giantRun
 		}
 		run.decide.add(0, lat)
 		if mutated && !seen[op.Word] {
-			run.firstAfter.add(0, lat)
+			run.firstAfter = append(run.firstAfter, lat)
 		}
 		seen[op.Word] = true
 		got[i], ok[i] = res.Certain, true

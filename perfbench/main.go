@@ -164,7 +164,7 @@ func delta(after, before uint64) float64 { return float64(after) - float64(befor
 // printed with their sample counts but, on a shared two-core machine,
 // spread too far from run to run to bound a regression (see
 // perfbench/design.json).
-func endToEnd(rep *report, setup sample, decide series, dps float64, mutate, firstAfter series, cold sample, rss, cpuPerOp float64) {
+func endToEnd(rep *report, setup sample, decide series, dps float64, mutate, firstAfter, cold sample, rss, cpuPerOp float64) {
 	const gated = true
 	rep.add("setup_s", setup.median(), "s", len(setup), gated)
 	all := decide.all()
@@ -173,8 +173,8 @@ func endToEnd(rep *report, setup sample, decide series, dps float64, mutate, fir
 	rep.add("decide_p99_ms", all.quantile(0.99), "ms", len(all), !gated)
 	rep.add("decide_p99_win_ms", decide.quantile(0.99), "ms", len(all), !gated)
 	rep.add("sustained_dps", dps, "1/s", 0, !gated)
-	rep.add("mutate_p99_ms", mutate.all().quantile(0.99), "ms", mutate.n(), !gated)
-	rep.add("first_after_mutate_p50_ms", firstAfter.all().quantile(0.5), "ms", firstAfter.n(), gated)
+	rep.add("mutate_p99_ms", mutate.quantile(0.99), "ms", len(mutate), !gated)
+	rep.add("first_after_mutate_p50_ms", firstAfter.quantile(0.5), "ms", len(firstAfter), gated)
 	rep.add("cold_pass_s", cold.median(), "s", len(cold), !gated)
 	rep.add("peak_rss_mb", rss, "MB", 0, gated)
 	rep.add("cpu_us_per_op", cpuPerOp, "us", 0, gated)

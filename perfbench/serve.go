@@ -261,8 +261,8 @@ func (d *daemon) metrics() (serveMetrics, error) {
 type serveRun struct {
 	setup, cold       sample  // seconds, one per set-up repetition
 	decide            series  // ms, open-loop queries
-	firstAfter        series  // ms, first query per (instance, word) after a mutation
-	mutate            series  // ms
+	firstAfter        sample  // ms, first query per (instance, word) after a mutation
+	mutate            sample  // ms
 	dps               float64 // closed-loop decisions per second
 	lag               sample  // ms, how late the generator dispatched each op
 	service           sample  // ms, from send to response
@@ -469,12 +469,12 @@ func runOpen(d *daemon, wl *Workload, chk *checker, sp streamPlan, run *serveRun
 		}
 		w := int(op.Due / openWindow)
 		if op.Kind == OpMutate {
-			run.mutate.add(w, ms(lat[i]))
+			run.mutate = append(run.mutate, ms(lat[i]))
 			continue
 		}
 		run.decide.add(w, ms(lat[i]))
 		if sp.firstAfter[i] {
-			run.firstAfter.add(w, ms(lat[i]))
+			run.firstAfter = append(run.firstAfter, ms(lat[i]))
 		}
 		chk.check(refKey{op.Inst, sp.version[i], op.Word}, got[i])
 	}
