@@ -53,7 +53,7 @@ var canonical = []string{"RXRX", "RRX", "RXRYRY", "ARRX"}
 const (
 	warmInstances   = 8
 	warmExtraPerCls = 2    // serve-warm words per class beyond the canonical one
-	warmRate        = 1500 // serve-warm offered rate, ops/s: a quarter of its sustained_dps (perfbench/design.json)
+	warmRate        = 500  // serve-warm offered rate, ops/s: well below saturation of the two connections (perfbench/design.json)
 	warmMutateFrac  = 0.10 // idempotent re-assertions of a stored fact
 	warmDraws       = 2000 // fact draws per instance: 2.5k to 3.5k facts with the dead ends
 

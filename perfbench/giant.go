@@ -8,7 +8,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/csv"
-	"fmt"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -68,7 +68,7 @@ type giantRun struct {
 	attempted, failed  int
 	firstFailure       string
 	rssMB              float64
-	cpuPerOp           float64 // us of process CPU per timed op, median over segments
+	cpuPerOp           float64 // us of process CPU per timed op
 	reg                *cqa.Registry
 	// coldAnswers are the set-up decisions of every repetition, checked
 	// once the reference is known.
@@ -153,26 +153,19 @@ func runGiant(outDir string, wl *Workload, reps int, d time.Duration) (*giantRun
 	seen := map[int]bool{}
 	mutated := false
 	ctx := context.Background()
-	// CPU is charged per segment and the median reported: every segment
-	// has the same op mix, and a collection or a burst of load from outside
-	// moves a few segments rather than the figure.
-	var segCPU sample
-	segStart, cpu0 := -1, 0.0
+	// CPU is charged to the whole timed phase. Segments have the same op
+	// mix but not the same cost: some rebuild artifacts cold and cost ten
+	// times others, so a median over segments jumps between those modes,
+	// while the total over the run's many segments averages them.
+	cpu0, err := selfCPU()
+	if err != nil {
+		return nil, nil, err
+	}
 	start := time.Now()
 	deadline := start.Add(d)
 	for i, op := range wl.Ops {
 		if !time.Now().Before(deadline) {
 			break
-		}
-		if op.Kind == OpMutate && (i == 0 || wl.Ops[i-1].Kind == OpQuery) {
-			c, err := selfCPU()
-			if err != nil {
-				return nil, nil, err
-			}
-			if segStart >= 0 {
-				segCPU = append(segCPU, (c-cpu0)*1e6/float64(i-segStart))
-			}
-			segStart, cpu0 = i, c
 		}
 		run.executed = i + 1
 		run.attempted++
@@ -201,11 +194,14 @@ func runGiant(outDir string, wl *Workload, reps int, d time.Duration) (*giantRun
 		got[i], ok[i] = res.Certain, true
 	}
 	run.dps = float64(run.decide.n()) / time.Since(start).Seconds()
-	if len(segCPU) == 0 {
-		return nil, nil, fmt.Errorf("giant: no segment completed in %v", d)
+	cpu1, err := selfCPU()
+	if err != nil {
+		return nil, nil, err
 	}
-	run.cpuPerOp = segCPU.median()
-	var err error
+	if run.executed == 0 {
+		return nil, nil, errors.New("giant: no op ran in the timed phase")
+	}
+	run.cpuPerOp = (cpu1 - cpu0) * 1e6 / float64(run.executed)
 	if run.rssMB, err = peakRSSMB("self"); err != nil {
 		return nil, nil, err
 	}

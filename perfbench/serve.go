@@ -10,11 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
 	"os/exec"
-	"runtime"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -42,7 +42,8 @@ const openGrace = 10 * time.Second
 type daemon struct {
 	cmd    *exec.Cmd
 	base   string
-	client *http.Client
+	client *http.Client  // registration, batches and /metrics
+	pool   *connPool     // queries and mutations
 	stderr chan struct{} // closed once the stderr reader has finished
 }
 
@@ -84,6 +85,7 @@ func startDaemon(bin string) (*daemon, error) {
 			return nil, errors.New("cqa serve exited before listening")
 		}
 		d.base = a
+		d.pool = newConnPool(strings.TrimPrefix(a, "http://"), nproc())
 	case <-time.After(30 * time.Second):
 		d.stop()
 		return nil, errors.New("cqa serve did not start listening within 30s")
@@ -107,6 +109,9 @@ func startDaemon(bin string) (*daemon, error) {
 // stop terminates the daemon and waits for it and its stderr reader.
 func (d *daemon) stop() {
 	d.client.CloseIdleConnections()
+	if d.pool != nil {
+		d.pool.closeIdle()
+	}
 	_ = d.cmd.Process.Signal(syscall.SIGTERM) // already exited is fine
 	done := make(chan struct{})
 	go func() {
@@ -123,6 +128,90 @@ func (d *daemon) stop() {
 }
 
 func (d *daemon) pid() string { return strconv.Itoa(d.cmd.Process.Pid) }
+
+// connPool sends the single-decision requests: at most n keep-alive
+// connections, each carrying one request at a time, written and read on
+// the caller's own goroutine. net/http's Transport hands every request
+// to a writer and a reader goroutine of its connection; on a two-core
+// machine those hand-offs add scheduler wake-ups, and their jitter, to
+// every latency the benchmark times.
+type connPool struct {
+	addr  string
+	conns chan *rawConn // n slots; nil until the slot first dials
+}
+
+type rawConn struct {
+	c  net.Conn
+	br *bufio.Reader
+}
+
+func newConnPool(addr string, n int) *connPool {
+	p := &connPool{addr: addr, conns: make(chan *rawConn, n)}
+	for range n {
+		p.conns <- nil
+	}
+	return p
+}
+
+// do sends one request, waiting for a free connection, and returns the
+// response's status and body. A connection that failed is closed and its
+// slot dials again on next use.
+func (p *connPool) do(method, path string, body []byte) (int, []byte, error) {
+	rc := <-p.conns
+	status, out, err := p.roundTrip(&rc, method, path, body)
+	if err != nil && rc != nil {
+		rc.c.Close()
+		rc = nil
+	}
+	p.conns <- rc
+	return status, out, err
+}
+
+func (p *connPool) roundTrip(rc **rawConn, method, path string, body []byte) (int, []byte, error) {
+	if *rc == nil {
+		c, err := net.Dial("tcp", p.addr)
+		if err != nil {
+			return 0, nil, err
+		}
+		*rc = &rawConn{c: c, br: bufio.NewReader(c)}
+	}
+	c := *rc
+	var req bytes.Buffer
+	fmt.Fprintf(&req, "%s %s HTTP/1.1\r\nHost: %s\r\nCQA-Timeout-Ms: %d\r\n", method, path, p.addr, requestTimeoutMs)
+	if body != nil {
+		fmt.Fprintf(&req, "Content-Type: application/json\r\nContent-Length: %d\r\n", len(body))
+	}
+	req.WriteString("\r\n")
+	req.Write(body)
+	if err := c.c.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		return 0, nil, err
+	}
+	if _, err := c.c.Write(req.Bytes()); err != nil {
+		return 0, nil, err
+	}
+	resp, err := http.ReadResponse(c.br, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	out, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err == nil && resp.Close {
+		c.c.Close()
+		*rc = nil
+	}
+	return resp.StatusCode, out, err
+}
+
+// closeIdle closes the pool's connections; slots dial again on next
+// use. It must not race with do.
+func (p *connPool) closeIdle() {
+	for range cap(p.conns) {
+		if rc := <-p.conns; rc != nil {
+			rc.c.Close()
+		}
+		p.conns <- nil
+	}
+}
 
 func drain(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, resp.Body) // draining lets the connection be reused
@@ -168,17 +257,16 @@ type decision struct {
 }
 
 func (d *daemon) query(inst, word string) (bool, error) {
-	resp, err := d.do("GET", "/instances/"+inst+"/query?q="+url.QueryEscape(word), nil)
+	status, body, err := d.pool.do("GET", "/instances/"+inst+"/query?q="+url.QueryEscape(word), nil)
 	if err != nil {
 		return false, err
 	}
-	defer drain(resp)
 	var dec decision
-	if err := json.NewDecoder(resp.Body).Decode(&dec); err != nil {
-		return false, fmt.Errorf("%s: %w", resp.Status, err)
+	if err := json.Unmarshal(body, &dec); err != nil {
+		return false, fmt.Errorf("status %d: %w", status, err)
 	}
-	if resp.StatusCode != http.StatusOK || dec.Error != "" || dec.Certain == nil {
-		return false, fmt.Errorf("%s: %s", resp.Status, dec.Error)
+	if status != http.StatusOK || dec.Error != "" || dec.Certain == nil {
+		return false, fmt.Errorf("status %d: %s", status, dec.Error)
 	}
 	return *dec.Certain, nil
 }
@@ -191,18 +279,16 @@ func (d *daemon) mutate(inst string, add, del []cqa.Fact) error {
 		}
 		return out
 	}
-	body, err := json.Marshal(map[string][]string{"add": toks(add), "remove": toks(del)})
+	req, err := json.Marshal(map[string][]string{"add": toks(add), "remove": toks(del)})
 	if err != nil {
 		return err
 	}
-	resp, err := d.do("POST", "/instances/"+inst+"/mutate", bytes.NewReader(body))
+	status, body, err := d.pool.do("POST", "/instances/"+inst+"/mutate", req)
 	if err != nil {
 		return err
 	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("mutate: %s: %s", resp.Status, b)
+	if status != http.StatusOK {
+		return fmt.Errorf("mutate: status %d: %s", status, body)
 	}
 	return nil
 }
@@ -381,7 +467,13 @@ func runServe(bin string, wl *Workload, reps int, chk *checker, sp streamPlan) (
 	// CPU is charged to the open-loop phase only: its op mix is fixed by
 	// the seed, while the closed loop completes more or fewer of its cheap
 	// batch decisions as the machine is faster or slower.
-	runOpen(d, wl, chk, sp, run)
+	// Each phase holds at most nproc connections: the open loop those of
+	// the pool, the closed loop those of the HTTP client.
+	d.client.CloseIdleConnections()
+	if err := runOpen(d, wl, chk, sp, run); err != nil {
+		return nil, err
+	}
+	d.pool.closeIdle()
 	cpu1, err := cpuSeconds(d.pid())
 	if err != nil {
 		return nil, err
@@ -399,12 +491,17 @@ func runServe(bin string, wl *Workload, reps int, chk *checker, sp streamPlan) (
 
 // runOpen sends the op stream on its Poisson schedule. A dispatcher
 // starts each op at its due time on a goroutine of its own, which waits
-// for the ops it depends on and then sends it; the client's transport
+// for the ops it depends on and then sends it; the connection pool
 // holds at most nproc connections, so ops beyond that wait for one. An op
 // waiting for a dependency therefore holds no connection. Every latency
 // is measured from the due time, so a stall also charges the ops queued
 // behind it.
-func runOpen(d *daemon, wl *Workload, chk *checker, sp streamPlan, run *serveRun) {
+func runOpen(d *daemon, wl *Workload, chk *checker, sp streamPlan, run *serveRun) error {
+	timer, err := newKernelTimer()
+	if err != nil {
+		return err
+	}
+	defer timer.close()
 	n := len(wl.Ops)
 	done := make([]chan struct{}, n)
 	for i := range done {
@@ -437,28 +534,25 @@ func runOpen(d *daemon, wl *Workload, chk *checker, sp streamPlan, run *serveRun
 		lat[i] = time.Since(start.Add(op.Due))
 		svc[i] = time.Since(sent)
 	}
-	dispatch := make(chan struct{})
+	dispatch := make(chan error, 1)
 	go func() {
-		// The Go runtime's timers wake with millisecond granularity, which
-		// would make the generator up to a millisecond late on every op.
-		// The dispatcher therefore owns an OS thread and sleeps in the
-		// kernel, which wakes it within microseconds.
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
 		defer close(dispatch)
 		for i, op := range wl.Ops {
 			due := start.Add(op.Due)
-			for d := time.Until(due); d > 0; d = time.Until(due) {
-				ts := syscall.NsecToTimespec(int64(d))
-				_ = syscall.Nanosleep(&ts, nil) // interrupted: the loop sleeps the rest
+			if err := timer.sleepUntil(due); err != nil {
+				dispatch <- err
+				return
 			}
 			lag[i] = time.Since(due)
 			wg.Add(1)
 			go send(i)
 		}
 	}()
-	<-dispatch
+	err = <-dispatch
 	wg.Wait()
+	if err != nil {
+		return err
+	}
 	for i, op := range wl.Ops {
 		run.attempted++
 		run.lag = append(run.lag, ms(lag[i]))
@@ -478,6 +572,7 @@ func runOpen(d *daemon, wl *Workload, chk *checker, sp streamPlan, run *serveRun
 		}
 		chk.check(refKey{op.Inst, sp.version[i], op.Word}, got[i])
 	}
+	return nil
 }
 
 // runClosed runs the closed-loop phase: one NDJSON batch stream per

@@ -415,6 +415,12 @@ func (s *stack) routerLoad(final []int) {
 		out []result
 		wg  sync.WaitGroup
 	)
+	timer, err := newKernelTimer()
+	if err != nil {
+		s.chk.fail(fmt.Errorf("router phase: %w", err))
+		return
+	}
+	defer timer.close()
 	start := time.Now()
 	for i, op := range s.wl.Ops {
 		if op.Due >= routerLoadFor {
@@ -423,7 +429,10 @@ func (s *stack) routerLoad(final []int) {
 		if op.Kind != OpQuery {
 			continue
 		}
-		time.Sleep(time.Until(start.Add(op.Due)))
+		if err := timer.sleepUntil(start.Add(op.Due)); err != nil {
+			s.chk.fail(fmt.Errorf("router phase: %w", err))
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
